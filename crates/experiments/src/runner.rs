@@ -138,9 +138,6 @@ pub fn default_threads() -> usize {
 /// * `TCN_DISPATCH` — `batched` (the default) or `per_event`; the two
 ///   produce byte-identical figure output, so the knob exists for
 ///   benchmarking and differential debugging, not correctness.
-/// * `TCN_HYBRID` — `1`/`true`/`on` opts bulk flows on host NICs into
-///   the fluid fast path (DESIGN.md §7.7); anything else leaves the
-///   exact packet-level default.
 pub fn apply_env_modes() {
     if let Ok(v) = std::env::var("TCN_DISPATCH") {
         match v.trim().to_ascii_lowercase().as_str() {
@@ -152,10 +149,6 @@ pub fn apply_env_modes() {
             }
             other => eprintln!("TCN_DISPATCH={other:?} ignored (batched|per_event)"),
         }
-    }
-    if let Ok(v) = std::env::var("TCN_HYBRID") {
-        let on = matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on");
-        tcn_net::set_default_hybrid(on);
     }
 }
 

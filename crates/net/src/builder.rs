@@ -87,7 +87,7 @@ pub struct NetworkBuilder {
     telemetry: Option<Telemetry>,
     watchdog: Option<Watchdog>,
     dispatch: Option<DispatchMode>,
-    hybrid: Option<bool>,
+    hybrid: bool,
 }
 
 impl NetworkBuilder {
@@ -106,7 +106,7 @@ impl NetworkBuilder {
             telemetry: None,
             watchdog: None,
             dispatch: None,
-            hybrid: None,
+            hybrid: false,
         }
     }
 
@@ -234,23 +234,28 @@ impl NetworkBuilder {
         self
     }
 
-    /// Opt into the hybrid fluid fast path (see
-    /// [`NetworkSim::set_hybrid`]); unset, the process-wide default
-    /// applies (off).
+    /// Kept only so callers that pin the removed hybrid fluid fast path
+    /// off still compile: every link is served packet by packet.
+    /// `false` is a no-op; `true` makes [`NetworkBuilder::build`] fail
+    /// with [`TcnError::Config`].
     pub fn hybrid(mut self, on: bool) -> Self {
-        self.hybrid = Some(on);
+        self.hybrid = on;
         self
     }
 
     /// Build the simulation.
     ///
     /// # Errors
-    /// [`TcnError::Config`] on malformed topology parameters or an
+    /// [`TcnError::Config`] on malformed topology parameters, an
     /// inconsistent fault plan (zero-length or overlapping flap windows
-    /// on the same link), and [`TcnError::Topology`] when the wiring
-    /// leaves some host pair unroutable, exactly as the underlying
-    /// [`crate::topology`] functions report them.
+    /// on the same link) or a `.hybrid(true)` request, and
+    /// [`TcnError::Topology`] when the wiring leaves some host pair
+    /// unroutable, exactly as the underlying [`crate::topology`]
+    /// functions report them.
     pub fn build(self) -> Result<NetworkSim, TcnError> {
+        if self.hybrid {
+            return Err(TcnError::config("the hybrid fluid path was removed"));
+        }
         if let Some(plan) = &self.faults {
             validate_flap_windows(plan)?;
         }
@@ -330,9 +335,6 @@ impl NetworkBuilder {
         if let Some(mode) = self.dispatch {
             sim.set_dispatch_mode(mode);
         }
-        if let Some(on) = self.hybrid {
-            sim.set_hybrid(on);
-        }
         Ok(sim)
     }
 }
@@ -391,32 +393,14 @@ mod tests {
     fn builder_matches_positional_construction() {
         // The builder is sugar: the resulting sim must behave exactly
         // like one wired through the positional topology function.
-        let build = |via_builder: bool| {
-            let mk = || PortSetup {
-                nqueues: 2,
-                buffer: Some(96_000),
-                tx_rate: None,
-                make_sched: Box::new(|| Box::new(tcn_sched::Dwrr::equal(2, 1_500))),
-                make_aqm: Box::new(|| Box::new(tcn_core::Tcn::new(Time::from_us(100)))),
-            };
-            let mut sim = if via_builder {
-                NetworkBuilder::single_switch(4, Rate::from_gbps(1), Time::from_us(5))
-                    .queues(2)
-                    .buffer(96_000)
-                    .scheduler(|| Box::new(tcn_sched::Dwrr::equal(2, 1_500)))
-                    .aqm(|| Box::new(tcn_core::Tcn::new(Time::from_us(100))))
-                    .build().unwrap()
-            } else {
-                single_switch(
-                    4,
-                    Rate::from_gbps(1),
-                    Time::from_us(5),
-                    TcpConfig::preset(Cc::Dctcp).sim(),
-                    TaggingPolicy::Fixed,
-                    mk,
-                )
-                .unwrap()
-            };
+        let builder = || {
+            NetworkBuilder::single_switch(4, Rate::from_gbps(1), Time::from_us(5))
+                .queues(2)
+                .buffer(96_000)
+                .scheduler(|| Box::new(tcn_sched::Dwrr::equal(2, 1_500)))
+                .aqm(|| Box::new(tcn_core::Tcn::new(Time::from_us(100))))
+        };
+        let fcts = |mut sim: NetworkSim| {
             for dst in 1..4u32 {
                 sim.add_flow(FlowSpec {
                     src: 0,
@@ -432,7 +416,31 @@ mod tests {
                 .map(|r| r.fct.as_ps())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(build(true), build(false));
+        let mk = || PortSetup {
+            nqueues: 2,
+            buffer: Some(96_000),
+            tx_rate: None,
+            make_sched: Box::new(|| Box::new(tcn_sched::Dwrr::equal(2, 1_500))),
+            make_aqm: Box::new(|| Box::new(tcn_core::Tcn::new(Time::from_us(100)))),
+        };
+        let positional = single_switch(
+            4,
+            Rate::from_gbps(1),
+            Time::from_us(5),
+            TcpConfig::preset(Cc::Dctcp).sim(),
+            TaggingPolicy::Fixed,
+            mk,
+        )
+        .unwrap();
+        let via_builder = fcts(builder().build().unwrap());
+        assert_eq!(via_builder, fcts(positional));
+        // The removed hybrid fluid path: pinning it off is a no-op,
+        // asking for it is a typed error.
+        assert_eq!(fcts(builder().hybrid(false).build().unwrap()), via_builder);
+        assert!(matches!(
+            builder().hybrid(true).build(),
+            Err(TcnError::Config { .. })
+        ));
     }
 
     #[test]

@@ -40,9 +40,9 @@ pub mod watchdog;
 pub use builder::NetworkBuilder;
 pub use tcn_transport::Cc;
 pub use network::{
-    default_dispatch_mode, default_hybrid, set_default_dispatch_mode, set_default_hybrid,
-    DispatchMode, FaultStats, FctRecord, FlowSpec, LinkSpec, NetMutation, NetworkSim, NodeId,
-    ProbeConfig, TaggingPolicy, TransportChoice,
+    default_dispatch_mode, set_default_dispatch_mode, DispatchMode, FaultStats, FctRecord,
+    FlowSpec, LinkSpec, NetMutation, NetworkSim, NodeId, ProbeConfig, TaggingPolicy,
+    TransportChoice,
 };
 pub use port::{Port, PortSetup, PortStats};
 pub use routing::{compute_routes, compute_routes_partial, ecmp_pick, RouteError};

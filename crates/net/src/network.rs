@@ -30,7 +30,7 @@ use tcn_core::{
     TcnError,
 };
 use tcn_sim::{EventEntry, EventQueue, FaultPlan, LinkFaultProfile, Rate, Rng, Time};
-use tcn_transport::{Cc, FluidCursor, SenderOutput, TcpConfig, TcpReceiver, TcpSender};
+use tcn_transport::{Cc, SenderOutput, TcpConfig, TcpReceiver, TcpSender};
 
 use crate::port::{Port, PortSetup};
 use crate::routing::{
@@ -65,10 +65,6 @@ const DISPATCH_BATCHED: u8 = 1;
 /// plumbing a knob through every figure.
 static DEFAULT_DISPATCH: AtomicU8 = AtomicU8::new(DISPATCH_BATCHED);
 
-/// Process-wide default for the hybrid fluid fast path (off unless
-/// opted in — see [`NetworkSim::set_hybrid`]).
-static DEFAULT_HYBRID: AtomicU8 = AtomicU8::new(0);
-
 /// Set the process-wide default [`DispatchMode`] for simulations
 /// constructed afterwards (running sims keep their mode).
 pub fn set_default_dispatch_mode(mode: DispatchMode) {
@@ -86,18 +82,6 @@ pub fn default_dispatch_mode() -> DispatchMode {
     } else {
         DispatchMode::Batched
     }
-}
-
-/// Set the process-wide default for the hybrid fluid fast path,
-/// picked up by simulations constructed afterwards (the `TCN_HYBRID`
-/// experiment knob lands here).
-pub fn set_default_hybrid(on: bool) {
-    DEFAULT_HYBRID.store(u8::from(on), Ordering::Relaxed);
-}
-
-/// The process-wide hybrid default.
-pub fn default_hybrid() -> bool {
-    DEFAULT_HYBRID.load(Ordering::Relaxed) != 0
 }
 
 /// Flow ids at or above this are latency probes, not TCP flows.
@@ -271,10 +255,6 @@ struct LinkState {
     /// Trailing-wake elision is sound on this port (the scheduler's
     /// idle `select` is pure). Cached at construction.
     coalesce: bool,
-    /// Hybrid mode's closed-form serialization cursor; `Some` while the
-    /// link rides the fluid fast path (DESIGN §7.7), `None` when it is
-    /// packet-level. Once disabled mid-run, a link never re-enters.
-    fluid: Option<FluidCursor>,
 }
 
 /// Live stochastic-fault state for one link: its effective profile and
@@ -510,14 +490,6 @@ pub struct NetworkSim {
     /// How the run loops pull events (set at construction from the
     /// process default; override via [`NetworkSim::set_dispatch_mode`]).
     dispatch: DispatchMode,
-    /// Whether the hybrid fluid fast path is requested; per-link
-    /// eligibility is resolved lazily at the first run call (after
-    /// faults/telemetry installs) into `LinkState::fluid`.
-    hybrid: bool,
-    /// Fluid eligibility has been resolved (first run call happened).
-    fluid_init: bool,
-    /// Links with a planned flap schedule (never fluid-eligible).
-    flap_planned: Vec<bool>,
     /// Reusable batch scratch for the batched run loops.
     batch: Vec<EventEntry<Event>>,
     /// Deadlines of held wakes (`TxState::BusyHeld`), a min-heap on
@@ -576,7 +548,6 @@ impl NetworkSim {
                     port,
                     tx: TxState::Idle,
                     coalesce,
-                    fluid: None,
                 }
             })
             .collect();
@@ -606,9 +577,6 @@ impl NetworkSim {
             fault_seed: 0,
             reconfig_log: Vec::new(),
             dispatch: default_dispatch_mode(),
-            hybrid: default_hybrid(),
-            fluid_init: false,
-            flap_planned: vec![false; n_links],
             batch: Vec::new(),
             held: BinaryHeap::new(),
         })
@@ -624,95 +592,6 @@ impl NetworkSim {
     /// The dispatch mode this simulation runs under.
     pub fn dispatch_mode(&self) -> DispatchMode {
         self.dispatch
-    }
-
-    /// Opt into (or out of) the hybrid fluid fast path (DESIGN §7.7):
-    /// links whose egress port has closed-form FIFO service (host-NIC
-    /// shape: one queue, no buffer bound, FIFO, pass-through AQM) and
-    /// no faults advance by rate-based byte accounting instead of
-    /// per-packet `TxDone` events. Departure instants are bit-equal to
-    /// packet-level serialization and every AQM-relevant epoch stays
-    /// packet-level at the switches, but event interleaving — and
-    /// therefore exact-picosecond tie-breaks — may differ, so hybrid
-    /// runs are validated statistically, not byte-for-byte.
-    ///
-    /// Per-link eligibility is resolved at the first run call, after
-    /// fault plans are installed; links that lose eligibility mid-run
-    /// (taken down, un-quieted) fall back to packet level permanently.
-    pub fn set_hybrid(&mut self, on: bool) {
-        self.hybrid = on;
-        if self.fluid_init {
-            if on {
-                self.init_fluid();
-            } else {
-                let now = self.now();
-                for link in 0..self.links.len() as u32 {
-                    self.disable_fluid(link, now);
-                }
-            }
-        }
-    }
-
-    /// Whether the hybrid fluid fast path is requested.
-    pub fn hybrid_mode(&self) -> bool {
-        self.hybrid
-    }
-
-    /// Number of links currently riding the fluid fast path.
-    pub fn fluid_links(&self) -> usize {
-        self.links.iter().filter(|l| l.fluid.is_some()).count()
-    }
-
-    /// Resolve fluid eligibility (idempotent per link): the port has
-    /// closed-form service, the wire is quiet (no stochastic faults, no
-    /// planned flap), the link is up, and nothing is mid-service or
-    /// queued (relevant only for mid-run enables — a busy port cannot
-    /// hand its backlog to the cursor without reordering).
-    fn init_fluid(&mut self) {
-        for li in 0..self.links.len() {
-            let l = &mut self.links[li];
-            if l.fluid.is_some() {
-                continue;
-            }
-            if l.port.fluid_eligible()
-                && self.link_faults[li].is_none()
-                && !self.flap_planned[li]
-                && self.link_up[li]
-                && l.tx == TxState::Idle
-                && l.port.is_empty()
-            {
-                l.fluid = Some(FluidCursor::new(l.port.tx_rate()));
-            }
-        }
-    }
-
-    /// Drop `link` off the fluid fast path. A cursor still serializing
-    /// backlog reserves the wire until it drains — a real `TxDone` at
-    /// its free instant hands service back to the packet-level port —
-    /// so the line is never double-booked. Packets already offered keep
-    /// their scheduled arrivals (they are on the wire, accounted
-    /// in-flight).
-    fn disable_fluid(&mut self, link: u32, now: Time) {
-        let li = link as usize;
-        let Some(cursor) = self.links[li].fluid.take() else {
-            return;
-        };
-        let free = cursor.free_at();
-        if free > now {
-            self.links[li].tx = TxState::BusyScheduled { until: free };
-            self.events.schedule_at(free, Event::TxDone { link });
-        }
-    }
-
-    /// One-time lazy fluid resolution at the first run call.
-    fn ensure_fluid(&mut self) {
-        if self.fluid_init {
-            return;
-        }
-        self.fluid_init = true;
-        if self.hybrid {
-            self.init_fluid();
-        }
     }
 
     /// Install (or replace) the liveness watchdog. Every event the run
@@ -772,23 +651,11 @@ impl NetworkSim {
                 "flap on unknown link {}",
                 flap.link
             );
-            self.flap_planned[flap.link as usize] = true;
             self.events
                 .schedule_at(flap.down_at, Event::LinkDown { link: flap.link });
             if let Some(up) = flap.up_at {
                 assert!(up > flap.down_at, "flap must recover after failing");
                 self.events.schedule_at(up, Event::LinkUp { link: flap.link });
-            }
-        }
-        // A link that just acquired a fault profile or a flap schedule
-        // can no longer ride the fluid fast path (only relevant when a
-        // plan is installed after the first run call).
-        let now = self.now();
-        for link in 0..self.links.len() {
-            if self.links[link].fluid.is_some()
-                && (self.link_faults[link].is_some() || self.flap_planned[link])
-            {
-                self.disable_fluid(link as u32, now);
             }
         }
     }
@@ -847,10 +714,6 @@ impl NetworkSim {
                 if profile.is_quiet() {
                     self.link_faults[li] = None;
                 } else {
-                    // A no-longer-quiet wire needs per-packet fault
-                    // draws; the fluid fast path has no dequeue point
-                    // to draw at, so the link leaves it for good.
-                    self.disable_fluid(*link, now);
                     match &mut self.link_faults[li] {
                         // A link already under faults keeps its RNG
                         // position: only the intensities change.
@@ -886,15 +749,7 @@ impl NetworkSim {
                 }
             }
             NetMutation::LinkRate { link, rate } => {
-                let li = *link as usize;
-                self.links[li].port.set_link_rate(*rate)?;
-                // A fluid link tracks line rate exactly like an unshaped
-                // port: already-offered bytes keep their departures,
-                // future offers serialize at the new rate.
-                let effective = self.links[li].port.tx_rate();
-                if let Some(c) = &mut self.links[li].fluid {
-                    c.set_rate(effective);
-                }
+                self.links[*link as usize].port.set_link_rate(*rate)?;
             }
         }
         let mut line = m.describe();
@@ -1074,7 +929,6 @@ impl NetworkSim {
     /// breaches, invariant violations) and [`TcnError::Stall`] from the
     /// watchdog.
     pub fn run_until(&mut self, t: Time) -> Result<(), TcnError> {
-        self.ensure_fluid();
         match self.dispatch {
             DispatchMode::PerEvent => {
                 while let Some(at) = self.events.peek_time() {
@@ -1217,7 +1071,6 @@ impl NetworkSim {
     /// # Errors
     /// Propagates [`TcnError`] from event processing and the watchdog.
     pub fn run_to_completion(&mut self, deadline: Time) -> Result<bool, TcnError> {
-        self.ensure_fluid();
         match self.dispatch {
             DispatchMode::PerEvent => {
                 while self.completed < self.flows.len() {
@@ -1482,10 +1335,6 @@ impl NetworkSim {
     fn apply_link_down(&mut self, link: u32, now: Time) {
         let li = link as usize;
         if self.link_up[li] {
-            // A dead wire needs packet-level blackhole accounting;
-            // packets the cursor already put in flight die at their
-            // Arrive (same dead-link check as packet-level in-flight).
-            self.disable_fluid(link, now);
             self.link_up[li] = false;
             self.fault_stats.link_downs += 1;
             self.events
@@ -1523,28 +1372,7 @@ impl NetworkSim {
     }
 
     fn enqueue_on(&mut self, link: u32, pkt: Packet, now: Time) -> Result<(), TcnError> {
-        let li = link as usize;
-        if self.links[li].fluid.is_some() {
-            // Fluid fast path (DESIGN §7.7): the closed-form FIFO
-            // recurrence yields the departure instant directly — no
-            // queue residency, no per-packet TxDone. The packet goes on
-            // the wire immediately (accounted in-flight from offer to
-            // arrival) with a departure bit-equal to packet-level
-            // serialization. Fluid links are quiet by construction, so
-            // no fault draws happen here.
-            let delay = self.links[li].delay;
-            let depart = match &mut self.links[li].fluid {
-                Some(c) => c.offer(now, u64::from(pkt.size)),
-                None => unreachable!("checked above"),
-            };
-            self.net_audit.on_depart();
-            self.links[li].port.on_fluid_tx(pkt.size);
-            let handle = self.arena.insert(pkt);
-            self.events
-                .schedule_at(depart + delay, Event::Arrive { link, pkt: handle });
-            return Ok(());
-        }
-        if self.links[li].port.enqueue(pkt, now) {
+        if self.links[link as usize].port.enqueue(pkt, now) {
             self.kick(link, now)?;
         }
         Ok(())

@@ -553,16 +553,6 @@ impl Port {
         self.stats
     }
 
-    /// Transmit accounting for a packet served by the hybrid fluid
-    /// fast path (DESIGN §7.7). The packet never resided in a queue —
-    /// no sojourn telemetry or buffer-ledger entries apply — but the
-    /// tx counters figures read must track wire departures regardless
-    /// of which service path produced them.
-    pub fn on_fluid_tx(&mut self, bytes: u32) {
-        self.stats.tx_packets += 1;
-        self.stats.tx_bytes += u64::from(bytes);
-    }
-
     /// The serialization rate in effect.
     pub fn tx_rate(&self) -> Rate {
         self.tx_rate
@@ -579,20 +569,6 @@ impl Port {
     /// change any later scheduling decision (DESIGN §7.6).
     pub fn coalescing_eligible(&self) -> bool {
         self.sched.idle_select_is_pure()
-    }
-
-    /// True when this port has closed-form FIFO service — one queue, no
-    /// buffer bound, no shaping, a FIFO scheduler and a pass-through
-    /// AQM: exactly the host-NIC shape ([`PortSetup::host_nic`]). Only
-    /// such ports may ride the hybrid fluid fast path (DESIGN §7.7),
-    /// because only for them is the serialization recurrence exact and
-    /// mark/drop-free.
-    pub fn fluid_eligible(&self) -> bool {
-        self.core.queues.len() == 1
-            && self.core.buffer.is_none()
-            && self.tx_rate == self.core.link_rate
-            && self.sched.name() == "FIFO"
-            && self.aqm.is_passthrough()
     }
 }
 

@@ -1,14 +1,11 @@
 //! Integration tests for the dispatch hot path: the batched
 //! same-timestamp drain plus per-port TxDone coalescing must be
-//! byte-identical to the legacy per-event loop, and the opt-in hybrid
-//! fluid mode must activate only on host-NIC-shaped ports, deliver
-//! every byte, and fall back to packet-level service the moment a link
-//! stops being a quiet dedicated wire. All runs execute under the
-//! `NetAudit` conservation checker in debug builds.
+//! byte-identical to the legacy per-event loop. All runs execute under
+//! the `NetAudit` conservation checker in debug builds.
 
 use tcn_core::Tcn;
 use tcn_net::{
-    single_switch, DispatchMode, FlowSpec, NetMutation, NetworkSim, PortSetup, TaggingPolicy,
+    single_switch, DispatchMode, FlowSpec, NetworkSim, PortSetup, TaggingPolicy,
 };
 use tcn_sched::{Dwrr, Wfq};
 use tcn_sim::{Rate, Time};
@@ -85,104 +82,4 @@ fn batched_dispatch_is_byte_identical_to_per_event() {
             "dispatch modes diverged (wfq = {wfq})"
         );
     }
-}
-
-#[test]
-fn fluid_recurrence_is_exact_without_contention() {
-    // One flow across an uncontended path: the fluid departure
-    // recurrence `depart = max(now, cursor) + bytes/rate` must
-    // reproduce packet-level FIFO service to the picosecond, so the
-    // fingerprints are equal — not close, equal.
-    let run = |hybrid: bool| {
-        let mut sim = single_switch(
-            2,
-            Rate::from_gbps(1),
-            Time::from_us(25),
-            TcpConfig::preset(Cc::Dctcp).sim(),
-            TaggingPolicy::Fixed,
-            || PortSetup {
-                nqueues: 2,
-                buffer: Some(120_000),
-                tx_rate: None,
-                make_sched: Box::new(|| Box::new(Dwrr::equal(2, 1500))),
-                make_aqm: Box::new(|| Box::new(Tcn::new(Time::from_us(100)))),
-            },
-        )
-        .unwrap();
-        sim.add_flow(FlowSpec {
-            src: 0,
-            dst: 1,
-            size: 500_000,
-            start: Time::from_us(10),
-            service: 0,
-        });
-        sim.set_hybrid(hybrid);
-        assert!(sim.run_to_completion(Time::from_secs(10)).unwrap());
-        fingerprint(&sim)
-    };
-    assert_eq!(run(true), run(false), "fluid service drifted from packet service");
-}
-
-#[test]
-fn hybrid_activates_on_host_nics_only() {
-    let mut sim = star_sim(false);
-    sim.set_hybrid(true);
-    // Eligibility is resolved lazily at the first run call.
-    sim.run_until(Time::ZERO).unwrap();
-    // The four host uplinks are single-queue FIFO drop-tail at link
-    // rate — fluid-eligible. The four DWRR switch downlinks are not.
-    assert_eq!(sim.fluid_links(), 4);
-
-    let mut packet = star_sim(false);
-    packet.run_until(Time::ZERO).unwrap();
-    assert_eq!(packet.fluid_links(), 0, "hybrid is strictly opt-in");
-}
-
-#[test]
-fn hybrid_delivers_every_byte_and_tracks_packet_mode() {
-    let run = |hybrid: bool| {
-        let mut sim = star_sim(false);
-        sim.set_hybrid(hybrid);
-        assert!(sim.run_to_completion(Time::from_secs(10)).unwrap());
-        fingerprint(&sim)
-    };
-    let (packet_fcts, _) = run(false);
-    let (hybrid_fcts, _) = run(true);
-    assert_eq!(hybrid_fcts.len(), packet_fcts.len());
-    // The NIC uplinks are never the bottleneck here and the fluid
-    // recurrence reproduces FIFO service exactly, so hybrid FCTs stay
-    // within a whisker of packet-level ones (tie-order at the switch
-    // may drift by a packet).
-    for ((f_h, fct_h, _), (f_p, fct_p, _)) in hybrid_fcts.iter().zip(&packet_fcts) {
-        assert_eq!(f_h, f_p);
-        let (a, b) = (*fct_h as f64, *fct_p as f64);
-        assert!(
-            (a - b).abs() / b < 0.05,
-            "flow {f_h}: hybrid fct {a} vs packet {b}"
-        );
-    }
-}
-
-#[test]
-fn link_down_permanently_disables_fluid_service() {
-    let mut sim = star_sim(false);
-    sim.set_hybrid(true);
-    // Host 2's uplink is link 4 (host h's uplink is link 2h).
-    sim.schedule_mutation(
-        Time::from_us(200),
-        NetMutation::LinkAdmin { link: 4, up: false },
-    )
-    .unwrap();
-    sim.schedule_mutation(
-        Time::from_us(400),
-        NetMutation::LinkAdmin { link: 4, up: true },
-    )
-    .unwrap();
-    sim.run_until(Time::from_us(100)).unwrap();
-    assert_eq!(sim.fluid_links(), 4);
-    sim.run_until(Time::from_ms(1)).unwrap();
-    // The flap demoted the uplink to packet-level service for good —
-    // a link that can go dark is not a quiet dedicated wire.
-    assert_eq!(sim.fluid_links(), 3);
-    assert!(sim.run_to_completion(Time::from_secs(10)).unwrap());
 }

@@ -111,24 +111,6 @@ impl TcpConfig {
         self
     }
 
-    /// The paper's simulation configuration for DCTCP.
-    #[deprecated(note = "use `TcpConfig::preset(Cc::Dctcp).sim()`")]
-    pub fn sim_dctcp() -> Self {
-        TcpConfig::preset(Cc::Dctcp).sim()
-    }
-
-    /// The paper's simulation configuration for ECN\*.
-    #[deprecated(note = "use `TcpConfig::preset(Cc::EcnStar).sim()`")]
-    pub fn sim_ecn_star() -> Self {
-        TcpConfig::preset(Cc::EcnStar).sim()
-    }
-
-    /// The paper's testbed configuration (DCTCP).
-    #[deprecated(note = "use `TcpConfig::preset(Cc::Dctcp).testbed()`")]
-    pub fn testbed_dctcp() -> Self {
-        TcpConfig::preset(Cc::Dctcp).testbed()
-    }
-
     /// λ for the standard threshold formulas: 1 for ECN\*; for DCTCP the
     /// paper configures thresholds empirically (we expose 1.0 as well —
     /// experiments pass their own λ).
@@ -663,18 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_presets_still_build() {
-        #[allow(deprecated)]
-        let cfg = TcpConfig::sim_dctcp();
-        assert_eq!(cfg.cc, Cc::Dctcp);
-        assert_eq!(cfg.init_cwnd, 16);
-        #[allow(deprecated)]
-        let cfg = TcpConfig::testbed_dctcp();
-        assert_eq!(cfg.init_cwnd, 10);
-        assert_eq!(cfg.rto_min, Time::from_ms(10));
-    }
-
-    #[test]
     fn fluent_preset_matches_paper_setups() {
         let sim = TcpConfig::preset(Cc::EcnStar).sim();
         assert_eq!(sim.cc, Cc::EcnStar);
@@ -685,6 +655,12 @@ mod tests {
         assert_eq!(tb.init_cwnd, 10);
         assert!(!tb.ecn_validation);
         assert!(tb.with_ecn_validation(true).ecn_validation);
+        let dctcp = TcpConfig::preset(Cc::Dctcp).sim();
+        assert_eq!(dctcp.cc, Cc::Dctcp);
+        assert_eq!(dctcp.init_cwnd, 16);
+        let dctcp_tb = TcpConfig::preset(Cc::Dctcp).testbed();
+        assert_eq!(dctcp_tb.init_cwnd, 10);
+        assert_eq!(dctcp_tb.rto_min, Time::from_ms(10));
     }
 
     #[test]

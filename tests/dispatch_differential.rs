@@ -2,11 +2,10 @@
 //! its per-port TxDone coalescing) must be *indistinguishable* from the
 //! legacy per-event loop in every figure-facing number — same FCTs,
 //! same drops, same timeouts — across figure slices, fuzz seeds, and
-//! thread counts. Hybrid mode is opt-in, so hybrid-off must likewise
-//! equal the default exactly.
+//! thread counts.
 //!
-//! The dispatch knobs are process-wide defaults (`tcn_net`'s atomics),
-//! so every test here serializes on one lock and restores the defaults
+//! The dispatch mode is a process-wide default (a `tcn_net` atomic),
+//! so every test here serializes on one lock and restores the default
 //! before returning.
 
 use std::sync::Mutex;
@@ -15,7 +14,7 @@ use tcn_experiments::common::Scale;
 use tcn_experiments::fct_sweep::{self, SweepConfig};
 use tcn_experiments::json::ToJson;
 use tcn_experiments::scenario::{run_fuzz, FuzzOpts};
-use tcn_net::{set_default_dispatch_mode, set_default_hybrid, DispatchMode};
+use tcn_net::{set_default_dispatch_mode, DispatchMode};
 
 /// Serializes tests that flip the process-wide dispatch defaults.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
@@ -33,14 +32,8 @@ fn slice_scale() -> Scale {
 /// Run `cfg` under the given dispatch configuration and render the
 /// whole `SweepResult` (every cell, every quarantine) to JSON text —
 /// the byte-identity unit of comparison.
-fn sweep_bytes(
-    cfg: &SweepConfig,
-    threads: usize,
-    mode: DispatchMode,
-    hybrid: bool,
-) -> String {
+fn sweep_bytes(cfg: &SweepConfig, threads: usize, mode: DispatchMode) -> String {
     set_default_dispatch_mode(mode);
-    set_default_hybrid(hybrid);
     let res = fct_sweep::run_schemes_with_threads(
         cfg,
         &slice_scale(),
@@ -48,19 +41,18 @@ fn sweep_bytes(
         threads,
     );
     set_default_dispatch_mode(DispatchMode::Batched);
-    set_default_hybrid(false);
     res.to_json().pretty()
 }
 
 fn assert_slice_mode_invariant(cfg: &SweepConfig, tag: &str) {
-    let reference = sweep_bytes(cfg, 1, DispatchMode::Batched, false);
+    let reference = sweep_bytes(cfg, 1, DispatchMode::Batched);
     assert!(
         !reference.is_empty() && reference.contains("cells"),
         "{tag}: reference run produced no output"
     );
     for threads in [1usize, 4] {
         for mode in [DispatchMode::Batched, DispatchMode::PerEvent] {
-            let got = sweep_bytes(cfg, threads, mode, false);
+            let got = sweep_bytes(cfg, threads, mode);
             assert_eq!(
                 got, reference,
                 "{tag}: {mode:?} dispatch at {threads} thread(s) diverged from \
@@ -86,21 +78,6 @@ fn fig6_slice_is_dispatch_mode_invariant() {
 fn fig7_slice_is_dispatch_mode_invariant() {
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert_slice_mode_invariant(&SweepConfig::fig7(), "fig7");
-}
-
-/// Hybrid *off* must be a no-op: explicitly disabling the fluid fast
-/// path yields the exact bytes the default configuration yields.
-#[test]
-fn hybrid_off_matches_default_exactly() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = SweepConfig::fig6();
-    let default = sweep_bytes(&cfg, 4, DispatchMode::Batched, false);
-    // `set_default_hybrid(false)` is the factory state; run it again
-    // after a hybrid-on run to prove the toggle leaves no residue.
-    set_default_hybrid(true);
-    set_default_hybrid(false);
-    let off_again = sweep_bytes(&cfg, 4, DispatchMode::Batched, false);
-    assert_eq!(off_again, default, "hybrid-off run diverged from default");
 }
 
 /// The seeded scenario fuzzer — flows under link flaps, loss, jitter
